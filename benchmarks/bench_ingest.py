@@ -2,9 +2,11 @@
 
 Three floors, each asserted against the path it replaces:
 
-* reading a >= 100k-event trace through mmap page-cache views
-  (``load_records(use_mmap=True)``, the default) is >= 1.5x faster
-  than the buffered ``read()`` path — and decodes bit-identically;
+* reading a >= 100k-event trace through mmap page-cache views (what
+  ``load_records`` does with a mappable file) is >= 1.5x faster than
+  the per-frame ``read()`` source it uses for anything unmappable —
+  here the same file behind a ``fileno()`` that raises, which is how a
+  pipe looks — and decodes bit-identically;
 * packing a store with 4 workers is >= 2x faster than the sequential
   pack (skipped below 4 cores; byte-identity of the parallel output is
   asserted unconditionally);
@@ -14,6 +16,7 @@ Three floors, each asserted against the path it replaces:
 """
 
 import gc
+import io
 import os
 import sys
 import time
@@ -74,6 +77,19 @@ def workload(tmp_path_factory):
     return _build(str(tmp_path_factory.mktemp("ingest_bench")))
 
 
+class _Unmappable(io.BufferedReader):
+    """A trace file as a pipe looks to the reader: no ``fileno()``."""
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def _load_read(path):
+    """Load ``path`` through the per-frame ``read()`` source."""
+    with _Unmappable(io.FileIO(path, "rb")) as fh:
+        return load_records(fh)
+
+
 def _decode_arrays(records):
     trace = ColumnarTraceReader(
         registry=default_registry()).decode_records(records)
@@ -89,8 +105,8 @@ def test_mmap_load_speedup(benchmark, workload):
     assert events >= MIN_EVENTS, \
         f"workload too small for the claim: {events} events"
 
-    via_mmap = load_records(trace_path, use_mmap=True)
-    via_read = load_records(trace_path, use_mmap=False)
+    via_mmap = load_records(trace_path)
+    via_read = _load_read(trace_path)
     assert len(via_mmap) == len(via_read) == len(base_records)
     for a, b in zip(via_mmap, via_read):
         assert a.seq == b.seq and a.fill_words == b.fill_words
@@ -104,8 +120,8 @@ def test_mmap_load_speedup(benchmark, workload):
         assert np.array_equal(got[k], ref[k]), f"column {k} differs"
 
     load_records(trace_path)  # warm the page cache out of the timing
-    t_mmap, _ = _timeit(lambda: load_records(trace_path, use_mmap=True))
-    t_read, _ = _timeit(lambda: load_records(trace_path, use_mmap=False))
+    t_mmap, _ = _timeit(lambda: load_records(trace_path))
+    t_read, _ = _timeit(lambda: _load_read(trace_path))
     speedup = t_read / t_mmap
     assert speedup >= MIN_MMAP_SPEEDUP, (
         f"mmap load only {speedup:.2f}x over read() "
@@ -119,7 +135,7 @@ def test_mmap_load_speedup(benchmark, workload):
         f"{'mmap (zero-copy)':<24} {t_mmap * 1e3:>8.2f}ms",
         f"speedup: {speedup:.2f}x",
     ]))
-    benchmark(lambda: load_records(trace_path, use_mmap=True))
+    benchmark(lambda: load_records(trace_path))
 
 
 def test_parallel_pack_byte_identical(workload, tmp_path):
@@ -216,19 +232,19 @@ def _harness_workload(quick):
 
 @perf_bench("ingest.load_mmap", quick=True, tolerance=0.4)
 def hb_load_mmap(b):
-    """Trace load through mmap page-cache views (the default path)."""
+    """Trace load through mmap page-cache views (a mappable file)."""
     trace_path, records = _harness_workload(b.quick)
     load_records(trace_path)  # warm the page cache
-    b(lambda: load_records(trace_path, use_mmap=True))
+    b(lambda: load_records(trace_path))
     b.note("frames", len(records))
 
 
 @perf_bench("ingest.load_read", quick=True, tolerance=0.4)
 def hb_load_read(b):
-    """Trace load through buffered read() (--no-mmap)."""
+    """Trace load through per-frame read() (an unmappable stream)."""
     trace_path, records = _harness_workload(b.quick)
     load_records(trace_path)
-    b(lambda: load_records(trace_path, use_mmap=False))
+    b(lambda: _load_read(trace_path))
     b.note("frames", len(records))
 
 

@@ -1,15 +1,17 @@
-"""Decode throughput: sequential vs. batched vs. N-worker parallel.
+"""Decode throughput: the reference oracle vs. the production decoder.
 
 The paper's boundary rule (§3.2 — no event ever crosses a buffer
 boundary) is what makes trace *analysis* scale: every buffer is
 independently parsable, so decoding can be vectorized per buffer and
-sharded across worker processes.  This benchmark measures the decode
-pipeline three ways on one deterministic multi-CPU trace:
+sharded across worker processes.  This benchmark measures decoding
+three ways on one deterministic multi-CPU trace:
 
-* **sequential** — the word-at-a-time reference reader
-  (``TraceReader(batch=False)``, the seed implementation);
-* **batched** — the vectorized numpy scan (``batch=True``, default);
-* **parallel** — ``decode_records_parallel`` with 2 and 4 workers.
+* **sequential** — the word-at-a-time reference decoder
+  (:class:`repro.check.oracle.OracleReader`);
+* **columnar** — the production decoder in-process
+  (``decode_records_columnar``);
+* **parallel** — the production decoder fed by sharded worker scans
+  (``decode_records_columnar_parallel``) with 2 and 4 workers.
 
 Every path must produce the identical trace (asserted event-for-event),
 and 4 workers must be at least 2x the sequential throughput.  Timing
@@ -27,8 +29,10 @@ import time
 import pytest
 
 from _benchutil import write_result
-from repro.core import ManualClock, TraceFacility, TraceReader, default_registry
-from repro.core.parallel import decode_records_parallel
+from repro.check.oracle import OracleReader
+from repro.core import ManualClock, TraceFacility, default_registry
+from repro.core.columnar import decode_records_columnar
+from repro.core.parallel import decode_records_columnar_parallel
 
 N_EVENTS = int(os.environ.get("BENCH_PARALLEL_EVENTS", "200000"))
 NCPUS = 4
@@ -87,28 +91,30 @@ def _as_comparable(trace):
 
 
 def test_parallel_decode_throughput(benchmark, records):
-    """Sequential vs. batched vs. 2/4-worker decode of the same trace."""
+    """Oracle vs. production decode (1, 2 and 4 workers) of the same
+    trace."""
     reg = default_registry()
     rows = []
     t_seq, trace_seq = _timeit(
-        lambda: TraceReader(registry=reg, batch=False).decode_records(records)
+        lambda: OracleReader(registry=reg).decode_records(records)
     )
     nev = sum(len(v) for v in trace_seq.events_by_cpu.values())
     baseline = _as_comparable(trace_seq)
 
     candidates = [
-        ("batched", lambda: TraceReader(registry=reg).decode_records(records)),
-        ("2 workers", lambda: decode_records_parallel(
+        ("columnar", lambda: decode_records_columnar(records,
+                                                     registry=reg)),
+        ("2 workers", lambda: decode_records_columnar_parallel(
             records, registry=reg, workers=2)),
-        ("4 workers", lambda: decode_records_parallel(
+        ("4 workers", lambda: decode_records_columnar_parallel(
             records, registry=reg, workers=4)),
     ]
-    rows.append(("sequential (seed)", t_seq, 1.0))
+    rows.append(("sequential (oracle)", t_seq, 1.0))
     speedups = {}
     for label, fn in candidates:
         t, trace = _timeit(fn)
         assert _as_comparable(trace) == baseline, (
-            f"{label} decode differs from sequential"
+            f"{label} decode differs from the oracle"
         )
         speedups[label] = t_seq / t
         rows.append((label, t, t_seq / t))
@@ -159,12 +165,11 @@ def hb_scan_buffer(b):
 
 @perf_bench("parallel.decode_batched", quick=True, tolerance=0.4)
 def hb_decode_batched(b):
-    """Batched (default) decode of the whole deterministic trace."""
+    """In-process production decode of the whole deterministic trace."""
     records = _harness_records(b.quick)
     reg = default_registry()
-    reader = TraceReader(registry=reg)
-    trace = b(lambda: reader.decode_records(records))
-    n = sum(len(v) for v in trace.events_by_cpu.values())
+    trace = b(lambda: decode_records_columnar(records, registry=reg))
+    n = len(trace.batch())
     assert n > 0
     b.note("events", n)
 
@@ -177,9 +182,9 @@ def hb_decode_workers(b):
     reg = default_registry()
     workers = min(4, os.cpu_count() or 1)
     b.note("workers", workers)
-    trace = b(lambda: decode_records_parallel(records, registry=reg,
-                                              workers=workers))
-    assert trace.all_events()
+    trace = b(lambda: decode_records_columnar_parallel(
+        records, registry=reg, workers=workers))
+    assert len(trace.batch())
 
 
 if __name__ == "__main__":

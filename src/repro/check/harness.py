@@ -18,8 +18,9 @@ Invariants are checked at three moments:
   buffer must be one the harness actually issued, in per-writer order
   (the committed count is the validity gate of §3.1: the checker
   verifies it gates *correctly*);
-* **at quiescence** — a clean run must decode with no anomalies on both
-  the scalar and the batched path, in strict and recovering modes, with
+* **at quiescence** — a clean run must decode with no anomalies, in
+  strict and recovering modes, identically to the reference decoder
+  (:mod:`repro.check.oracle`), with
   every issued payload present exactly once in per-writer order and
   per-CPU timestamps strictly increasing; a run with killed writers
   must flag every buffer the kill tore (committed-mismatch or garble)
@@ -44,6 +45,7 @@ from repro.check.mutants import make_logger
 from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
 from repro.core.majors import Major
 from repro.core.mask import TraceMask
+from repro.check.oracle import OracleReader
 from repro.core.stream import TraceReader, scan_buffer
 
 #: A scheduling choice: ``("run", tid)`` or ``("kill", tid)``.
@@ -419,20 +421,21 @@ class CheckedSystem:
             return Violation(exc.invariant, exc.detail)
         return None
 
-    def _decode(self, view: List[BufferRecord], batch: bool, strict: bool):
-        reader = TraceReader(
-            include_fillers=True, check_committed=True,
-            batch=batch, strict=strict,
+    def _decode(self, view: List[BufferRecord], strict: bool,
+                oracle: bool = False):
+        """Decode with the production decoder, or the reference oracle."""
+        reader = (OracleReader if oracle else TraceReader)(
+            include_fillers=True, check_committed=True, strict=strict,
         )
         return reader.decode_records(view)
 
     def _final_clean(self) -> None:
         view = self.ring_view()
-        batched = self._decode(view, batch=True, strict=False)
-        scalar = self._decode(view, batch=False, strict=False)
-        self._compare_paths(batched, scalar)
-        strict = self._decode(view, batch=True, strict=True)
-        for trace, mode in ((batched, "recover"), (strict, "strict")):
+        decoded = self._decode(view, strict=False)
+        oracle = self._decode(view, strict=False, oracle=True)
+        self._compare_paths(decoded, oracle)
+        strict = self._decode(view, strict=True)
+        for trace, mode in ((decoded, "recover"), (strict, "strict")):
             bad = [a for a in trace.anomalies if a.kind != "missing-anchor"]
             if bad:
                 a = bad[0]
@@ -445,7 +448,7 @@ class CheckedSystem:
         got: Dict[int, List[List[int]]] = {w: [] for w in
                                            range(self.config.writers)}
         times: List[int] = []
-        for ev in batched.events(0):
+        for ev in decoded.events(0):
             if ev.time is not None:
                 times.append(ev.time)
             if ev.major != Major.TEST:
@@ -482,7 +485,7 @@ class CheckedSystem:
 
     def _final_with_kills(self, killed: List[int]) -> None:
         view = self.ring_view()
-        trace = self._decode(view, batch=True, strict=False)
+        trace = self._decode(view, strict=False)
         torn: set = set()
         allowed: set = set()
         for tid in killed:
@@ -540,7 +543,7 @@ class CheckedSystem:
                 )
             self._check_test_events(scan, rec.seq, last_k, "final")
 
-    def _compare_paths(self, batched, scalar) -> None:
+    def _compare_paths(self, decoded, oracle) -> None:
         def flat(trace):
             return [
                 (e.cpu, e.seq, e.offset, e.ts32, e.major, e.minor,
@@ -548,10 +551,11 @@ class CheckedSystem:
                 for e in trace.events(0)
             ]
 
-        if flat(batched) != flat(scalar):
+        if flat(decoded) != flat(oracle):
             raise InvariantViolation(
-                "scalar-batch-divergence",
-                "scalar and batched decoders disagree on this schedule",
+                "oracle-divergence",
+                "the decoder and the reference oracle disagree on this "
+                "schedule",
             )
 
 

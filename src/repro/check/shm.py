@@ -427,11 +427,11 @@ class ShmCheckedSystem(CheckedSystem):
                 )
 
     def _final_clean_shm(self, drained: List[BufferRecord]) -> None:
-        batched = self._decode(drained, batch=True, strict=False)
-        scalar = self._decode(drained, batch=False, strict=False)
-        self._compare_paths_all(batched, scalar)
-        strict = self._decode(drained, batch=True, strict=True)
-        for trace, mode in ((batched, "recover"), (strict, "strict")):
+        decoded = self._decode(drained, strict=False)
+        oracle = self._decode(drained, strict=False, oracle=True)
+        self._compare_paths_all(decoded, oracle)
+        strict = self._decode(drained, strict=True)
+        for trace, mode in ((decoded, "recover"), (strict, "strict")):
             bad = [a for a in trace.anomalies if a.kind != "missing-anchor"]
             if bad:
                 a = bad[0]
@@ -446,7 +446,7 @@ class ShmCheckedSystem(CheckedSystem):
         }
         for cpu in range(self.config.shm_cpus):
             times: List[int] = []
-            for ev in batched.events(cpu):
+            for ev in decoded.events(cpu):
                 if ev.time is not None:
                     times.append(ev.time)
                 if ev.major != Major.TEST:
@@ -482,7 +482,7 @@ class ShmCheckedSystem(CheckedSystem):
 
     def _final_with_kills_shm(self, drained: List[BufferRecord],
                               killed: List[int]) -> None:
-        trace = self._decode(drained, batch=True, strict=False)
+        trace = self._decode(drained, strict=False)
         ncpus = self.config.shm_cpus
         torn_by_cpu: Dict[int, Set[int]] = {c: set() for c in range(ncpus)}
         allowed_by_cpu: Dict[int, Set[int]] = {c: set()
@@ -544,7 +544,7 @@ class ShmCheckedSystem(CheckedSystem):
                 )
             self._check_test_events(scan, rec.seq, last_k, "final")
 
-    def _compare_paths_all(self, batched, scalar) -> None:
+    def _compare_paths_all(self, decoded, oracle) -> None:
         def flat(trace):
             return [
                 (e.cpu, e.seq, e.offset, e.ts32, e.major, e.minor,
@@ -553,10 +553,11 @@ class ShmCheckedSystem(CheckedSystem):
                 for e in trace.events(cpu)
             ]
 
-        if flat(batched) != flat(scalar):
+        if flat(decoded) != flat(oracle):
             raise InvariantViolation(
-                "scalar-batch-divergence",
-                "scalar and batched decoders disagree on the drained trace",
+                "oracle-divergence",
+                "the decoder and the reference oracle disagree on the "
+                "drained trace",
             )
 
 

@@ -58,6 +58,20 @@ def decode_commit_word(seq: int, word: int) -> int:
     return 0
 
 
+def slot_written(slot: int, seq: int, num_buffers: int) -> bool:
+    """Whether ring ``slot``, whose ``slot_seq`` entry is ``seq``, has ever
+    held a buffer.
+
+    Buffer ``seq`` always lives in slot ``seq % num_buffers``, so a slot
+    that has held one satisfies this.  A never-written slot still carries
+    its initial ``slot_seq`` of 0, which only slot 0 can legitimately
+    hold — so the unused slots of a ring that has not yet wrapped fail
+    it, and snapshots and crash dumps skip them instead of emitting them
+    as phantom ``seq=0`` buffers.
+    """
+    return seq % num_buffers == slot
+
+
 @dataclass
 class BufferRecord:
     """A completed (or flushed-partial) trace buffer, ready for a sink."""
@@ -378,6 +392,8 @@ class TraceControl:
         records: List[BufferRecord] = []
         for slot in range(self.num_buffers):
             seq = self.slot_seq[slot]
+            if not slot_written(slot, seq, self.num_buffers):
+                continue  # never used: the ring has not wrapped yet
             if seq == cur_seq and fill == 0:
                 continue  # fresh, nothing reserved yet
             if self.zero_ahead and slot == ahead_slot and slot != cur_slot:

@@ -18,15 +18,17 @@ width)`` positions, so a fixed-layout group like ``"64 64"`` decodes
 with one gather and shift/mask per field instead of N
 :func:`~repro.core.packing.unpack_values` calls.
 
-Equivalence contract: the columnar path is bit-identical to the scalar
-reference reader on clean *and* corrupted input.  Scan decisions
-(accept/garble/resync) are shared — the assembler consumes the very
-:class:`~repro.core.stream.BufferScan` objects the batched reader
-produces — and garble/committed/anchor verdicts surface in the same
-order as per-batch anomaly columns.  ``ColumnarTrace`` also offers the
-full ``Trace`` reading surface (``all_events``, ``events_by_cpu``,
-``filter``) by materializing lazily, so unported consumers keep
-working unchanged.
+This is the one production decoder: :class:`ColumnarAssembler` folds
+:func:`~repro.core.stream.scan_buffer` results into columns, fed buffer
+by buffer (:func:`decode_records_columnar`) or by sharded worker scans
+(:func:`~repro.core.parallel.decode_records_columnar_parallel`).
+Equivalence contract: it is bit-identical to the reference decoder in
+:mod:`repro.check.oracle` on clean *and* corrupted input, with
+garble/committed/anchor verdicts in the same order as per-batch anomaly
+columns.  ``ColumnarTrace`` also offers the full ``Trace`` reading
+surface (``all_events``, ``events_by_cpu``, ``filter``) by materializing
+lazily, and :class:`~repro.core.stream.TraceReader` is that
+materialization, so object consumers keep working unchanged.
 """
 
 from __future__ import annotations
@@ -63,6 +65,18 @@ from repro.core.stream import (
 _CTRL = int(Major.CONTROL)
 _FILLER = int(ControlMinor.FILLER)
 _FILLER_EXT = int(ControlMinor.FILLER_EXT)
+
+
+def _full_column(n: int, value: int) -> np.ndarray:
+    """``n`` copies of ``value``; an object column when it exceeds int64.
+
+    A frame header carries the buffer sequence as a u64, so a damaged
+    frame can claim a sequence no int64 column holds.
+    """
+    try:
+        return np.full(n, value, dtype=np.int64)
+    except OverflowError:
+        return np.full(n, value, dtype=object)
 
 
 def _int_column(values: Sequence[int]) -> np.ndarray:
@@ -535,7 +549,7 @@ class EventBatch:
         ingest order of the per-node traces.
         """
         tk = self.time_key()
-        if tk.dtype == object:
+        if tk.dtype == object or self.seq.dtype == object:
             tkl = tk.tolist()
             cl = self.cpu.tolist()
             sl = self.seq.tolist()
@@ -557,21 +571,22 @@ class EventBatch:
     def order_by_stream(self) -> np.ndarray:
         """Indices sorting by decode order: ``(cpu, seq, offset)``
         (``(node, cpu, seq, offset)`` for fleet batches)."""
+        if self.seq.dtype == object:
+            keys = list(zip(self.node_column().tolist(), self.cpu.tolist(),
+                            self.seq.tolist(), self.offset.tolist()))
+            return np.array(sorted(range(len(self)), key=keys.__getitem__),
+                            dtype=np.int64)
         if self.node is not None:
             return np.lexsort(
                 (self.offset, self.seq, self.cpu, self.node))
         return np.lexsort((self.offset, self.seq, self.cpu))
 
     # -- materialization (compatibility) --------------------------------
-    def event(self, i: int) -> TraceEvent:
-        """Materialize row ``i`` as a scalar-identical TraceEvent."""
-        return self.events(np.array([i], dtype=np.int64))[0]
-
     def events(self, sel: Optional[np.ndarray] = None) -> List[TraceEvent]:
-        """Materialize (selected) rows as scalar-identical TraceEvents.
+        """Materialize (selected) rows as TraceEvents.
 
-        Bit-identical to what the scalar reader would have produced for
-        the same rows: Python-int data lists, ``None`` time where no
+        Bit-identical to what the reference decoder produces for the
+        same rows: Python-int data lists, ``None`` time where no
         timestamp was reconstructed, specs resolved from the registry.
         """
         if sel is None:
@@ -583,35 +598,40 @@ class EventBatch:
         n = len(idx)
         if n == 0:
             return []
-        wl = self.words
-        cpu_l = self.cpu[idx].tolist()
-        seq_l = self.seq[idx].tolist()
-        off_l = self.offset[idx].tolist()
-        ts_l = self.ts32[idx].tolist()
-        maj_l = self.major[idx].tolist()
-        min_l = self.minor[idx].tolist()
-        dlen_l = self.dlen[idx].tolist()
+        words = self.words
         base_l = self.base[idx].tolist()
+        dlen_l = self.dlen[idx].tolist()
+        if 4 * n >= len(words):
+            # Slicing a list of Python ints is far cheaper per event
+            # than slicing numpy and converting each slice; pay one
+            # conversion of the pool when the selection covers a good
+            # share of it.
+            wl = words.tolist()
+            data_l = [wl[b + 1 : b + 1 + dl]
+                      for b, dl in zip(base_l, dlen_l)]
+        else:
+            data_l = [words[b + 1 : b + 1 + dl].tolist()
+                      for b, dl in zip(base_l, dlen_l)]
+        major = self.major[idx]
+        minor = self.minor[idx]
+        # One registry probe per distinct (major, minor) key.
+        keys, inverse = np.unique((major << np.int64(16)) | minor,
+                                  return_inverse=True)
+        uniq = [self.spec_for(k >> 16, k & 0xFFFF) for k in keys.tolist()]
+        spec_l = [uniq[i] for i in inverse.tolist()]
+        timed = self.timed[idx]
         time_l = self.time[idx].tolist()
-        timed_l = self.timed[idx].tolist()
-        out: List[TraceEvent] = []
-        append = out.append
-        spec_for = self.spec_for
-        for j in range(n):
-            b = base_l[j]
-            dl = dlen_l[j]
-            data = wl[b + 1 : b + 1 + dl].tolist() if dl else []
-            append(TraceEvent(
-                cpu_l[j], seq_l[j], off_l[j], ts_l[j],
-                maj_l[j], min_l[j], data,
-                time_l[j] if timed_l[j] else None,
-                spec_for(maj_l[j], min_l[j]),
-            ))
-        return out
+        if not timed.all():
+            time_l = [t if f else None
+                      for t, f in zip(time_l, timed.tolist())]
+        return list(map(
+            TraceEvent, self.cpu[idx].tolist(), self.seq[idx].tolist(),
+            self.offset[idx].tolist(), self.ts32[idx].tolist(),
+            major.tolist(), minor.tolist(), data_l, time_l, spec_l))
 
 
 class AnomalyColumns:
-    """Anomaly verdicts as parallel columns, in scalar-report order."""
+    """Anomaly verdicts as parallel columns, in decode-report order."""
 
     __slots__ = ("cpu", "seq", "offset", "kind", "detail")
 
@@ -640,7 +660,7 @@ class AnomalyColumns:
         return out
 
     def to_list(self) -> List[Anomaly]:
-        """Materialize as :class:`Anomaly` objects (scalar order)."""
+        """Materialize as :class:`Anomaly` objects (report order)."""
         return [
             Anomaly(c, s, o, k, d)
             for c, s, o, k, d in zip(self.cpu, self.seq, self.offset,
@@ -673,11 +693,11 @@ class _CpuAccumulator:
 class ColumnarAssembler:
     """Accumulates per-buffer scans into per-CPU event columns.
 
-    The columnar analogue of ``TraceReader.assemble_scan``: same
-    timestamp stitching (carried ``(last_full, last_ts32)`` state per
-    CPU), same filler filtering, same anomaly order — but the output is
-    columns, never ``TraceEvent`` objects.  Buffers must be added in
-    (cpu, seq) order, the order the sequential reader visits them.
+    Timestamps stitch across buffers through carried ``(last_full,
+    last_ts32)`` state per CPU; fillers are dropped unless
+    ``include_fillers``; anomalies are reported per buffer.  The output
+    is columns, never ``TraceEvent`` objects.  Buffers must be added in
+    (cpu, seq) order.
     """
 
     def __init__(
@@ -757,7 +777,7 @@ class ColumnarAssembler:
                 acc.words.append(arr)
                 acc.base.append(acc.word_total + offs)
                 acc.offset.append(offs)
-                acc.seq.append(np.full(kept, rec.seq, dtype=np.int64))
+                acc.seq.append(_full_column(kept, rec.seq))
                 acc.ts32.append(ts32)
                 acc.major.append(major)
                 acc.minor.append(minor)
@@ -768,8 +788,8 @@ class ColumnarAssembler:
                 acc.word_total += len(arr)
                 acc.n += kept
 
-        # Anomalies, in exactly the scalar per-buffer order:
-        # garbles/recoveries, committed mismatch, missing anchor.
+        # Anomalies, in per-buffer order: garbles/recoveries,
+        # committed mismatch, missing anchor.
         an = self.anomaly_columns
         for (off, detail), resume in zip(scan.garbles, scan.resumes):
             an.append(cpu, rec.seq, off, "garbled", detail)
@@ -1042,8 +1062,8 @@ def decode_records_columnar(
     check_committed: bool = True,
     strict: bool = False,
 ) -> ColumnarTrace:
-    """Sequential columnar decode; scan decisions and anomaly verdicts
-    identical to ``TraceReader(...).decode_records(records)``."""
+    """Sequential decode: each buffer is scanned and folded into the
+    assembler in (cpu, seq) order."""
     by_cpu: Dict[int, List[BufferRecord]] = {}
     for rec in records:
         by_cpu.setdefault(rec.cpu, []).append(rec)
@@ -1059,12 +1079,11 @@ def decode_records_columnar(
 
 
 class ColumnarTraceReader:
-    """Columnar counterpart of :class:`~repro.core.stream.TraceReader`.
+    """Reader-object form of :func:`decode_records_columnar`.
 
-    Same constructor surface; ``decode_records`` returns a
-    :class:`ColumnarTrace` whose events, ordering, and anomaly verdicts
-    are bit-identical to the scalar reader's output (``to_trace()``
-    materializes the proof).
+    Same constructor surface as :class:`~repro.core.stream.TraceReader`;
+    ``decode_records`` returns the :class:`ColumnarTrace` itself instead
+    of its ``to_trace()`` materialization.
     """
 
     def __init__(
@@ -1089,9 +1108,6 @@ class ColumnarTraceReader:
             check_committed=self.check_committed,
             strict=self.strict,
         )
-
-    def decode_one(self, record: BufferRecord) -> ColumnarTrace:
-        return self.decode_records([record])
 
     def decode_file(self, path) -> ColumnarTrace:
         """Load a ``.k42`` trace file and decode it columnar."""

@@ -31,7 +31,12 @@ from typing import BinaryIO, List, Union
 
 import numpy as np
 
-from repro.core.buffers import BufferRecord, TraceControl, decode_commit_word
+from repro.core.buffers import (
+    BufferRecord,
+    TraceControl,
+    decode_commit_word,
+    slot_written,
+)
 from repro.core.writer import scan_for_magic, words_from_bytes
 
 DUMP_MAGIC = b"K42CRASH"
@@ -171,12 +176,22 @@ def read_dump(source: Union[bytes, BinaryIO]) -> CrashDump:
 
         cur_seq = index // buffer_words
         fill = index % buffer_words
+        cur_slot = cur_seq % num_buffers
+        ahead_slot = (cur_seq + 1) % num_buffers
         for slot in range(num_buffers):
             seq = int(slot_seq[slot])
+            if not slot_written(slot, seq, num_buffers):
+                continue  # never used: the ring had not wrapped yet
             if seq == cur_seq and fill == 0:
                 continue
-            partial = seq == cur_seq
             start = slot * buffer_words
+            if (slot == ahead_slot and slot != cur_slot
+                    and not memory[start:start + buffer_words].any()):
+                # Zeroed ahead of the writers (zero-ahead mode): the old
+                # contents are gone.  A buffer that held events starts
+                # with a nonzero anchor header, so nothing is lost.
+                continue
+            partial = seq == cur_seq
             dump.records.append(
                 BufferRecord(
                     cpu=cpu,

@@ -21,13 +21,12 @@ in-buffer resynchronization — and the skip is reported on
 :attr:`TraceFileReader.issues`.  ``strict=True`` restores the
 raise-on-first-damage behavior.
 
-Reading is also zero-copy by default: a seekable file is mmap'd and
-record words are read-only ``np.frombuffer`` views of the page cache
-(payloads are 8-byte aligned by construction), with identical output —
-frames, issue reports, tail verdicts — to the buffered read() path,
-which remains for pipes/streams and as the ``use_mmap=False`` escape
-hatch.  On little-endian hosts the historical per-frame
-``.astype(np.uint64)`` copy is gone from both paths.
+Reading is also zero-copy where it can be: a mappable file is mmap'd
+and record words are read-only ``np.frombuffer`` views of the page
+cache (payloads are 8-byte aligned by construction).  Anything else is
+read frame by frame with ``read()``.  Both sources feed one recovery
+walk, so frames, issue reports and tail verdicts do not depend on the
+source.
 """
 
 from __future__ import annotations
@@ -142,6 +141,62 @@ class TraceFileWriter:
             self.write_record(rec)
 
 
+class _MappedFrames:
+    """Frame bytes from a read-only mapping: payloads are zero-copy views.
+
+    Frame payloads start at byte ``16 + 32 + k*frame_size``, always
+    8-byte aligned, so word views over the mapping are alignment-safe.
+    """
+
+    mapped = True
+
+    def __init__(self, mm: mmap.mmap) -> None:
+        self.mm = mm
+
+    def size(self) -> int:
+        return len(self.mm)
+
+    def header_at(self, pos: int) -> bytes:
+        return self.mm[pos:pos + _FRAME_HEADER.size]
+
+    def payload_at(self, off: int, nwords: int) -> Optional[np.ndarray]:
+        if off + nwords * 8 > len(self.mm):
+            return None
+        return words_from_bytes(memoryview(self.mm)[off:off + nwords * 8])
+
+    def find_magic(self, start: int) -> Optional[int]:
+        i = self.mm.find(_FRAME_MAGIC_BYTES, start)
+        return i if i >= 0 else None
+
+
+class _ReadFrames:
+    """Frame bytes by per-frame ``read()``: for in-memory streams, files
+    that cannot be mapped, and files that grew past their mapping."""
+
+    mapped = False
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self.fh = fh
+
+    def size(self) -> int:
+        self.fh.seek(0, io.SEEK_END)
+        return self.fh.tell()
+
+    def header_at(self, pos: int) -> bytes:
+        self.fh.seek(pos)
+        return self.fh.read(_FRAME_HEADER.size)
+
+    def payload_at(self, off: int, nwords: int) -> Optional[np.ndarray]:
+        self.fh.seek(off)
+        payload = self.fh.read(nwords * 8)
+        if len(payload) != nwords * 8:
+            return None
+        return words_from_bytes(payload)
+
+    def find_magic(self, start: int) -> Optional[int]:
+        return scan_for_magic(self.fh, _FRAME_MAGIC_BYTES, start)
+
+
 class TraceFileReader:
     """Reads trace files; supports sequential and per-frame random access.
 
@@ -160,10 +215,16 @@ class TraceFileReader:
     ``"growing"`` (an in-progress write; not reported on :attr:`issues`),
     anything else is ``"truncated"`` (real damage).  ``doctor``/
     ``anomaly`` report salvage only for the truncated verdict.
+
+    Frame bytes come from one of two sources, picked from the input: a
+    read-only mapping of anything that can be mapped (record words are
+    then zero-copy, read-only views of the page cache), or per-frame
+    ``read()`` for everything else — in-memory streams, and a file that
+    grew past the mapping taken at open time.  The recovery walk is the
+    same for both, so records, issues and strict-mode errors are too.
     """
 
-    def __init__(self, fh: BinaryIO, strict: bool = False,
-                 use_mmap: bool = True) -> None:
+    def __init__(self, fh: BinaryIO, strict: bool = False) -> None:
         self.fh = fh
         self.strict = strict
         #: Human-readable descriptions of damage seen (and survived).
@@ -187,20 +248,17 @@ class TraceFileReader:
         self._data_start = _FILE_HEADER.size
         self._mm: Optional[mmap.mmap] = None
         self._file_sig: Optional[Tuple[str, int, int]] = None
-        #: Which ingest path backs this reader: ``"mmap"`` (zero-copy
+        #: Which source backs this reader: ``"mmap"`` (zero-copy
         #: page-cache views) or ``"read"`` (buffered reads).
         self.read_path = "read"
-        if use_mmap:
-            self._try_mmap()
+        self._try_mmap()
 
     def _try_mmap(self) -> None:
-        """Map the file read-only; silently keep the read() path if not.
+        """Map the file read-only; silently keep the read() source if not.
 
         Pipes, sockets and in-memory streams have no ``fileno``; an
         empty or unmappable file raises — all of those simply stay on
-        the buffered path.  Frame payloads start at byte ``16 + 32 +
-        k*frame_size``, always 8-byte aligned, so word views over the
-        mapping are alignment-safe.
+        per-frame reads.
         """
         try:
             fileno = self.fh.fileno()
@@ -215,18 +273,36 @@ class TraceFileReader:
             self._file_sig = (os.path.abspath(name), st.st_size,
                               st.st_mtime_ns)
 
-    def _tag_provenance(self, rec: BufferRecord, payload_off: int) -> None:
-        """Stamp a view-backed record with its on-disk location.
+    def _source(self, upto: int):
+        """The mapping if it covers bytes ``[0, upto)``, else ``read()``.
 
-        ``(path, byte_offset, file_size, file_mtime_ns)`` lets the
-        parallel decoder ship a tiny descriptor to pool workers — which
-        map the same file themselves — instead of pushing the payload
-        through a pipe.  The size/mtime pair lets the consumer detect a
+        A mapping snapshots the file at open time; bytes appended since
+        (a growing trace) are only reachable through reads.
+        """
+        if self._mm is not None and upto <= len(self._mm):
+            return _MappedFrames(self._mm)
+        return _ReadFrames(self.fh)
+
+    def _record(self, src, pos: int, header: tuple,
+                words: np.ndarray) -> BufferRecord:
+        """Build the record of the frame at ``pos``.
+
+        A view-backed record is stamped with its on-disk location,
+        ``(path, byte_offset, file_size, file_mtime_ns)``: the parallel
+        decoder ships that tiny descriptor to pool workers — which map
+        the same file themselves — instead of pushing the payload
+        through a pipe, and the size/mtime pair lets it detect a
         rewritten file and fall back to shipping bytes.
         """
-        if self._file_sig is not None and _LITTLE_ENDIAN:
+        _magic, cpu, seq, committed, fill_words, partial = header
+        rec = BufferRecord(
+            cpu=cpu, seq=seq, words=words, committed=committed,
+            fill_words=fill_words, partial=bool(partial),
+        )
+        if src.mapped and self._file_sig is not None and _LITTLE_ENDIAN:
             path, size, mtime_ns = self._file_sig
-            rec._file_ref = (path, payload_off, size, mtime_ns)
+            rec._file_ref = (path, pos + _FRAME_HEADER.size, size, mtime_ns)
+        return rec
 
     def frame_count(self) -> int:
         """Number of whole frames; judges any partial trailing frame.
@@ -240,7 +316,9 @@ class TraceFileReader:
         n, trailing = divmod(end - self._data_start, self.frame_size)
         if trailing and not self.trailing_bytes:
             self.trailing_bytes = trailing
-            self.tail_state = self._classify_tail(end - trailing, trailing)
+            self.fh.seek(end - trailing)
+            raw = self.fh.read(min(trailing, _FRAME_HEADER.size))
+            self.tail_state = classify_tail(raw, self.buffer_words)
             if self.tail_state == "truncated":
                 self.issues.append(
                     f"truncated trailing frame: {trailing} bytes after "
@@ -248,143 +326,35 @@ class TraceFileReader:
                 )
         return n
 
-    def _classify_tail(self, start: int, trailing: int) -> str:
-        """Judge a partial trailing frame — see :func:`classify_tail`."""
-        self.fh.seek(start)
-        raw = self.fh.read(min(trailing, _FRAME_HEADER.size))
-        return classify_tail(raw, self.buffer_words)
-
     def read_frame(self, k: int) -> BufferRecord:
         """Random access to frame ``k`` — a seek, not a scan."""
         n = self.frame_count()
         if not 0 <= k < n:
             raise IndexError(f"frame {k} out of range: file holds {n} frames")
         pos = self._data_start + k * self.frame_size
-        # A mapping snapshots the file at open time; frames appended
-        # since (a growing trace) fall back to buffered reads.
-        if self._mm is not None and pos + self.frame_size <= len(self._mm):
-            return self._read_frame_mmap(pos)
-        self.fh.seek(pos)
-        return self._read_one()
-
-    def _frame_words(self, payload_off: int) -> np.ndarray:
-        """Zero-copy word view of the payload at ``payload_off``."""
-        mm = self._mm
-        assert mm is not None
-        if _LITTLE_ENDIAN:
-            return np.frombuffer(mm, dtype="<u8", count=self.buffer_words,
-                                 offset=payload_off)
-        return np.frombuffer(  # pragma: no cover - big-endian fallback
-            mm[payload_off:payload_off + self.buffer_words * 8], dtype="<u8"
-        ).astype(np.uint64)
-
-    def _read_frame_mmap(self, pos: int) -> BufferRecord:
-        mm = self._mm
-        assert mm is not None
-        magic, cpu, seq, committed, fill_words, partial = \
-            _FRAME_HEADER.unpack_from(mm, pos)
-        if magic != FRAME_MAGIC:
-            raise ValueError(f"bad frame magic {magic:#x}")
-        off = pos + _FRAME_HEADER.size
-        rec = BufferRecord(
-            cpu=cpu, seq=seq, words=self._frame_words(off),
-            committed=committed, fill_words=fill_words,
-            partial=bool(partial),
-        )
-        self._tag_provenance(rec, off)
-        return rec
-
-    def _read_one(self) -> BufferRecord:
-        raw = self.fh.read(_FRAME_HEADER.size)
-        if len(raw) != _FRAME_HEADER.size:
-            raise EOFError("truncated frame header")
-        magic, cpu, seq, committed, fill_words, partial = _FRAME_HEADER.unpack(raw)
-        if magic != FRAME_MAGIC:
-            raise ValueError(f"bad frame magic {magic:#x}")
-        payload = self.fh.read(self.buffer_words * 8)
-        if len(payload) != self.buffer_words * 8:
+        src = self._source(pos + self.frame_size)
+        header = _FRAME_HEADER.unpack(src.header_at(pos))
+        if header[0] != FRAME_MAGIC:
+            raise ValueError(f"bad frame magic {header[0]:#x}")
+        words = src.payload_at(pos + _FRAME_HEADER.size, self.buffer_words)
+        if words is None:
             raise EOFError("truncated frame payload")
-        words = words_from_bytes(payload)
-        return BufferRecord(
-            cpu=cpu, seq=seq, words=words, committed=committed,
-            fill_words=fill_words, partial=bool(partial),
-        )
-
-    def _read_all_mmap(self) -> List[BufferRecord]:
-        """The :meth:`read_all` walk over the mapping — same damage
-        handling, same issue reports, zero payload copies."""
-        mm = self._mm
-        assert mm is not None
-        end = len(mm)
-        payload_len = self.buffer_words * 8
-        records: List[BufferRecord] = []
-        pos = self._data_start
-        while pos < end:
-            if end - pos < _FRAME_HEADER.size:
-                if self.strict:
-                    raise EOFError("truncated frame header")
-                if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame header at byte {pos}; dropped"
-                    )
-                break
-            (magic, cpu, seq, committed,
-             fill_words, partial) = _FRAME_HEADER.unpack_from(mm, pos)
-            plausible = (magic == FRAME_MAGIC
-                         and fill_words <= self.buffer_words
-                         and partial <= 1)
-            if not plausible:
-                if self.strict:
-                    if magic != FRAME_MAGIC:
-                        raise ValueError(f"bad frame magic {magic:#x}")
-                    raise ValueError(
-                        f"implausible frame header at byte {pos} "
-                        f"(fill_words {fill_words}, partial {partial})"
-                    )
-                nxt = mm.find(_FRAME_MAGIC_BYTES, pos + 1)
-                if nxt < 0:
-                    self.issues.append(
-                        f"damaged frame at byte {pos}; no later frame "
-                        f"magic — {end - pos} bytes dropped"
-                    )
-                    break
-                self.issues.append(
-                    f"damaged frame at byte {pos}; skipped {nxt - pos} "
-                    f"bytes to the next frame magic"
-                )
-                pos = nxt
-                continue
-            if end - pos - _FRAME_HEADER.size < payload_len:
-                if self.strict:
-                    raise EOFError("truncated frame payload")
-                if not self.trailing_bytes:
-                    self.issues.append(
-                        f"truncated frame payload at byte {pos}; dropped"
-                    )
-                break
-            off = pos + _FRAME_HEADER.size
-            rec = BufferRecord(
-                cpu=cpu, seq=seq, words=self._frame_words(off),
-                committed=committed, fill_words=fill_words,
-                partial=bool(partial),
-            )
-            self._tag_provenance(rec, off)
-            records.append(rec)
-            pos += self.frame_size
-        return records
+        return self._record(src, pos, header, words)
 
     def read_all(self) -> List[BufferRecord]:
-        """Read every readable frame, resynchronizing past damage."""
+        """Read every readable frame, resynchronizing past damage.
+
+        The one recovery walk: each frame header is judged for
+        plausibility once, and damage either raises (strict) or is
+        skipped to the next frame magic and described on :attr:`issues`.
+        """
         self.frame_count()   # flag a truncated tail up front
-        if self._mm is not None:
-            self.fh.seek(0, io.SEEK_END)
-            if self.fh.tell() <= len(self._mm):
-                return self._read_all_mmap()
-        self.fh.seek(self._data_start)
+        self.fh.seek(0, io.SEEK_END)
+        src = self._source(self.fh.tell())
         records: List[BufferRecord] = []
+        pos = self._data_start
         while True:
-            pos = self.fh.tell()
-            raw = self.fh.read(_FRAME_HEADER.size)
+            raw = src.header_at(pos)
             if not raw:
                 break
             if len(raw) < _FRAME_HEADER.size:
@@ -395,12 +365,11 @@ class TraceFileReader:
                         f"truncated frame header at byte {pos}; dropped"
                     )
                 break
-            (magic, cpu, seq, committed,
-             fill_words, partial) = _FRAME_HEADER.unpack(raw)
-            plausible = (magic == FRAME_MAGIC
-                         and fill_words <= self.buffer_words
-                         and partial <= 1)
-            if not plausible:
+            header = _FRAME_HEADER.unpack(raw)
+            magic, _cpu, _seq, _committed, fill_words, partial = header
+            if not (magic == FRAME_MAGIC
+                    and fill_words <= self.buffer_words
+                    and partial <= 1):
                 if self.strict:
                     if magic != FRAME_MAGIC:
                         raise ValueError(f"bad frame magic {magic:#x}")
@@ -408,22 +377,22 @@ class TraceFileReader:
                         f"implausible frame header at byte {pos} "
                         f"(fill_words {fill_words}, partial {partial})"
                     )
-                nxt = scan_for_magic(self.fh, _FRAME_MAGIC_BYTES, pos + 1)
+                nxt = src.find_magic(pos + 1)
                 if nxt is None:
-                    self.fh.seek(0, io.SEEK_END)
                     self.issues.append(
                         f"damaged frame at byte {pos}; no later frame "
-                        f"magic — {self.fh.tell() - pos} bytes dropped"
+                        f"magic — {src.size() - pos} bytes dropped"
                     )
                     break
                 self.issues.append(
                     f"damaged frame at byte {pos}; skipped {nxt - pos} "
                     f"bytes to the next frame magic"
                 )
-                self.fh.seek(nxt)
+                pos = nxt
                 continue
-            payload = self.fh.read(self.buffer_words * 8)
-            if len(payload) < self.buffer_words * 8:
+            words = src.payload_at(pos + _FRAME_HEADER.size,
+                                   self.buffer_words)
+            if words is None:
                 if self.strict:
                     raise EOFError("truncated frame payload")
                 if not self.trailing_bytes:
@@ -431,13 +400,8 @@ class TraceFileReader:
                         f"truncated frame payload at byte {pos}; dropped"
                     )
                 break
-            words = words_from_bytes(payload)
-            records.append(
-                BufferRecord(
-                    cpu=cpu, seq=seq, words=words, committed=committed,
-                    fill_words=fill_words, partial=bool(partial),
-                )
-            )
+            records.append(self._record(src, pos, header, words))
+            pos += self.frame_size
         return records
 
 
@@ -467,19 +431,17 @@ def save_records(path: PathOrFile, records: List[BufferRecord],
     return _write(path)
 
 
-def load_records(path: PathOrFile, strict: bool = False,
-                 use_mmap: bool = True) -> List[BufferRecord]:
+def load_records(path: PathOrFile,
+                 strict: bool = False) -> List[BufferRecord]:
     """Read every readable frame of a trace file.
 
     With the default ``strict=False``, damaged frames are skipped (see
     :class:`TraceFileReader`); use :class:`TraceFileReader` directly
-    when the skip reports are needed.  ``use_mmap=True`` (the default)
-    returns zero-copy views of the page cache on little-endian hosts —
-    record words are then read-only; pass ``use_mmap=False`` for the
-    buffered read() path (output is bit-identical either way).
+    when the skip reports are needed.  A mappable file yields zero-copy
+    views of the page cache on little-endian hosts — record words are
+    then read-only.
     """
     if isinstance(path, str):
         with open(path, "rb") as fh:
-            return TraceFileReader(fh, strict=strict,
-                                   use_mmap=use_mmap).read_all()
-    return TraceFileReader(path, strict=strict, use_mmap=use_mmap).read_all()
+            return TraceFileReader(fh, strict=strict).read_all()
+    return TraceFileReader(path, strict=strict).read_all()

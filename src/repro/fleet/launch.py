@@ -1,9 +1,8 @@
 """Pluggable fleet launchers: run K node workloads, get K traces.
 
-Modeled on the SHARP launcher pattern (ROADMAP item 3): one
-``launch()`` entry point behind a backend ABC, with a local-subprocess
-backend implemented now and docker/mpi slots declared so they can be
-filled without touching callers.  Each launched node runs the standard
+Modeled on the SHARP launcher pattern: one ``launch()`` entry point
+behind a backend ABC, with a local-subprocess backend as the one
+implementation.  Each launched node runs the standard
 deterministic contention workload (:func:`repro.workloads.run_contention`)
 but logs timestamps through a :class:`NodeLocalClock` — its own skewed
 offset/rate view of true time, the fleet analogue of a drifting tsc —
@@ -203,46 +202,14 @@ class LocalProcessBackend(LaunchBackend):
         return results
 
 
-class DockerBackend(LaunchBackend):
-    """Slot: one container per node (not implemented yet)."""
-
-    name = "docker"
-
-    def __init__(self, image: str = "repro-trace:latest") -> None:
-        self.image = image
-
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        raise NotImplementedError(
-            "docker backend is a declared slot; use --backend local")
-
-
-class MpiBackend(LaunchBackend):
-    """Slot: one rank per node over MPI (not implemented yet)."""
-
-    name = "mpi"
-
-    def launch(self, specs: Sequence[NodeSpec],
-               out_dir: str) -> List[NodeRunResult]:
-        raise NotImplementedError(
-            "mpi backend is a declared slot; use --backend local")
-
-
-BACKENDS: Dict[str, type] = {
-    LocalProcessBackend.name: LocalProcessBackend,
-    DockerBackend.name: DockerBackend,
-    MpiBackend.name: MpiBackend,
-}
-
-
 def get_backend(name: str, **kwargs: Any) -> LaunchBackend:
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
+    """The launcher called ``name``; only ``"local"`` exists."""
+    if name != LocalProcessBackend.name:
         raise ValueError(
-            f"unknown backend {name!r}; backends are {sorted(BACKENDS)}"
-        ) from None
-    return cls(**kwargs)
+            f"unknown backend {name!r}; the only backend is "
+            f"{LocalProcessBackend.name!r}"
+        )
+    return LocalProcessBackend(**kwargs)
 
 
 @dataclass
@@ -293,7 +260,6 @@ def make_specs(
 def fleet_run(
     out_dir: str,
     nodes: int = 2,
-    backend: str = "local",
     start_method: Optional[str] = None,
     seed: int = 2003,
     ncpus: int = 2,
@@ -307,10 +273,7 @@ def fleet_run(
                        workers_per_cpu=workers_per_cpu,
                        iterations=iterations, buffer_words=buffer_words,
                        num_buffers=num_buffers)
-    if backend == "local":
-        be: LaunchBackend = LocalProcessBackend(start_method=start_method)
-    else:
-        be = get_backend(backend)
-    results = be.launch(specs, out_dir)
+    results = LocalProcessBackend(start_method=start_method).launch(
+        specs, out_dir)
     view = merge_paths([r.trace_path for r in results])
     return FleetRunResult(view=view, node_results=results, out_dir=out_dir)

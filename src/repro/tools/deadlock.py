@@ -8,7 +8,9 @@ Reconstruction: replay lock events to know, at end of trace, which
 thread owns each lock (``ACQUIRE``/``CONTEND_END`` vs ``RELEASE``) and
 which thread is still waiting on which lock (a ``CONTEND_START`` with no
 matching ``CONTEND_END``).  Edges *waiter-thread → owner-thread* form the
-wait-for graph; a cycle is a deadlock (networkx finds them).
+wait-for graph; a cycle is a deadlock.  Each waiter waits on one lock
+and each lock has at most one owner, so every thread has at most one
+outgoing edge and cycles are found by following pointers.
 
 Requires lock tracing on the uncontended paths too
 (``KernelConfig.trace_all_lock_events=True``) so ownership of
@@ -21,8 +23,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-import networkx as nx
 
 from repro.core.majors import LockMinor, Major
 from repro.core.stream import Trace
@@ -91,11 +91,36 @@ def find_deadlocks(trace: Trace) -> DeadlockReport:
         elif e.minor == LockMinor.RELEASE:
             owners.pop(lock_id, None)
 
-    graph = nx.DiGraph()
+    waits_for: Dict[int, int] = {}
     for waiter, lock_id in waiting.items():
         owner = owners.get(lock_id)
         if owner is not None and owner != waiter:
-            graph.add_edge(waiter, owner)
-    cycles = [list(c) for c in nx.simple_cycles(graph)]
-    return DeadlockReport(cycles=cycles, waiting_on=dict(waiting),
-                          owners=dict(owners))
+            waits_for[waiter] = owner
+    return DeadlockReport(cycles=wait_for_cycles(waits_for),
+                          waiting_on=dict(waiting), owners=dict(owners))
+
+
+def wait_for_cycles(waits_for: Dict[int, int]) -> List[List[int]]:
+    """Every cycle of a wait-for graph in which each thread waits for at
+    most one other (``waits_for[thread] -> thread``).
+
+    Such a graph's cycles are disjoint, and a walk from any thread
+    reaches at most one of them.  Each cycle is returned rotated to
+    start at its smallest thread; the list is sorted.
+    """
+    walked: Dict[int, int] = {}   # thread -> the walk that reached it
+    cycles: List[List[int]] = []
+    for start in waits_for:
+        if start in walked:
+            continue
+        path: List[int] = []
+        node: Optional[int] = start
+        while node is not None and node not in walked:
+            walked[node] = start
+            path.append(node)
+            node = waits_for.get(node)
+        if node is not None and walked[node] == start:
+            cycle = path[path.index(node):]
+            i = cycle.index(min(cycle))
+            cycles.append(cycle[i:] + cycle[:i])
+    return sorted(cycles)

@@ -3,14 +3,16 @@
 Contract under test (the decode-equivalence contract of the columnar
 reader): every view the columnar layer offers — ``EventBatch`` columns,
 vectorized payload decoding via compiled layout plans, the merged
-``ColumnarTrace`` — must be bit-identical to what the scalar reference
-reader produces for the same input, on clean and on damaged streams.
+``ColumnarTrace`` — must be bit-identical to what the reference oracle
+(:mod:`repro.check.oracle`) produces for the same input, on clean and
+on damaged streams.
 """
 
 import random
 
 import numpy as np
 
+from repro.check.oracle import OracleReader
 from repro.core.columnar import (
     ColumnarTrace,
     ColumnarTraceReader,
@@ -22,12 +24,17 @@ from repro.core.packing import pack_values, parse_layout, unpack_values
 from repro.core.registry import default_registry
 from repro.core.stream import TraceEvent, TraceReader
 from repro.core.writer import load_records, save_records
-from tests.core.test_parallel import as_comparable, build_records
+from tests.core.test_parallel import (
+    as_comparable,
+    assert_all_paths_identical,
+    build_records,
+)
 
 
 def _decode_both(records, **kw):
+    """(reference oracle's trace, production columnar trace)."""
     reg = default_registry()
-    scalar = TraceReader(registry=reg, **kw).decode_records(records)
+    scalar = OracleReader(registry=reg, **kw).decode_records(records)
     columnar = ColumnarTraceReader(registry=reg, **kw).decode_records(records)
     return scalar, columnar
 
@@ -263,6 +270,17 @@ class TestColumnarTrace:
         assert list(map(_event_tuple, b.events())) == \
             list(map(_event_tuple, columnar.all_events()))
 
+    def test_small_selection_materializes_like_the_oracle(self):
+        """A few rows out of a large word pool slice their payloads row
+        by row instead of converting the pool; same events either way."""
+        scalar, columnar = _decode_both(_corrupt(build_records()))
+        b = columnar.batch()
+        sel = np.array([0, 7, len(b) // 2, len(b) - 1])
+        assert 4 * len(sel) < len(b.words)
+        oracle = scalar.all_events()
+        assert list(map(_event_tuple, b.events(sel))) == \
+            [_event_tuple(oracle[i]) for i in sel.tolist()]
+
     def test_to_trace(self):
         records = build_records()
         scalar, columnar = _decode_both(records)
@@ -277,6 +295,23 @@ class TestColumnarTrace:
         columnar = ColumnarTraceReader(
             registry=default_registry()).decode_file(path)
         assert as_comparable(columnar) == as_comparable(scalar)
+
+    def test_sequence_beyond_int64(self):
+        """A damaged frame header can claim a u64 buffer sequence no
+        int64 column holds; the decode must still match the oracle."""
+        records = build_records(ncpus=2)
+        huge = records[-1]
+        huge.seq = (1 << 63) + 5
+        assert_all_paths_identical(records, workers=2)
+        _, columnar = _decode_both(records)
+        assert columnar.cpu_batch(huge.cpu).seq.dtype == object
+        b = columnar.batch()
+        assert list(map(_event_tuple, b.events())) == \
+            list(map(_event_tuple, columnar.all_events()))
+        stream = b.select(b.order_by_stream())
+        keys = list(zip(stream.cpu.tolist(), stream.seq.tolist(),
+                        stream.offset.tolist()))
+        assert keys == sorted(keys)
 
     def test_empty_records(self):
         columnar = decode_records_columnar([], default_registry())

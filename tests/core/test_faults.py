@@ -4,8 +4,9 @@ The contract: for each fault kind in :mod:`repro.core.faults`, decoding
 (or file/dump reading) never raises — the damage surfaces as a typed
 anomaly, issue, or dump issue — and with recovery enabled a mid-buffer
 garble costs strictly fewer events than strict stop-at-first-garble
-decoding would discard.  Clean traces stay bit-identical across scalar,
-batched, and parallel paths with recovery on or off.
+decoding would discard.  Clean and damaged traces decode identically
+on the production decoder (1 and N workers) and the reference oracle,
+with recovery on or off.
 
 Seeds come from ``FAULT_FUZZ_SEEDS`` (comma-separated, default
 ``0,1,2``) so CI can sweep fresh seeds every run while local failures
@@ -95,10 +96,11 @@ class TestRecordFaults:
         assert trace.anomalies, (
             f"{kind} injected (seed {seed}) but decode saw no anomaly: "
             f"{report.describe()}\n{why}")
-        # Damage decodes identically on every path, strict or not.
+        # Damage decodes like the oracle on every path, strict or not.
         try:
             assert_all_paths_identical(damaged)
             assert_all_paths_identical(damaged, strict=True)
+            assert_all_paths_identical(damaged, include_fillers=True)
         except AssertionError as exc:
             raise AssertionError(
                 f"reader paths diverged on {kind} (seed {seed})\n{why}"

@@ -1,9 +1,12 @@
-"""mmap zero-copy reads vs buffered read(): bit-identical, always.
+"""The mmap source vs the read() source: bit-identical, always.
 
-The zero-copy fast path (``TraceFileReader(use_mmap=True)``, the
-default for real files) must be indistinguishable from the historical
-``read()`` path in every observable way — records, recovery issues,
-strict-mode exceptions — across the whole file-fault damage matrix.
+``TraceFileReader`` has one recovery walk and two sources of frame
+bytes, picked from the input: a mapping for anything that can be
+mapped, per-frame ``read()`` for anything else (here: the same file
+behind an object whose ``fileno()`` raises, which is how a pipe looks).
+The two must be indistinguishable in every observable way — records,
+recovery issues, strict-mode exceptions — across the whole file-fault
+damage matrix.
 Seeds come from ``FAULT_FUZZ_SEEDS`` (comma-separated, default
 ``0,1,2``) so CI can sweep fresh seeds every run; every assertion
 message echoes the seed for local reproduction.
@@ -16,12 +19,9 @@ import sys
 import numpy as np
 import pytest
 
+from repro.check.oracle import OracleReader
 from repro.core.faults import FILE_KINDS, FaultInjector
-from repro.core.parallel import (
-    decode_records_columnar_parallel,
-    decode_records_parallel,
-)
-from repro.core.stream import TraceReader
+from repro.core.parallel import decode_records_columnar_parallel
 from repro.core.writer import TraceFileReader, load_records, save_records
 from tests.core.test_parallel import as_comparable, build_records
 
@@ -41,10 +41,21 @@ def clean_path(records, tmp_path_factory):
     return path
 
 
-def _read_with(path, use_mmap, strict):
-    """(records, issues, read_path, exception) for one reader config."""
-    with open(path, "rb") as fh:
-        reader = TraceFileReader(fh, strict=strict, use_mmap=use_mmap)
+class Unmappable(io.BufferedReader):
+    """A real file that refuses ``fileno()``, as a pipe or socket would."""
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def open_unmappable(path):
+    return Unmappable(io.FileIO(path, "rb"))
+
+
+def _read_with(path, mapped, strict):
+    """(records, issues, read_path, exception) for one source."""
+    with (open(path, "rb") if mapped else open_unmappable(path)) as fh:
+        reader = TraceFileReader(fh, strict=strict)
         try:
             recs = reader.read_all()
         except (ValueError, EOFError) as exc:
@@ -103,24 +114,49 @@ def test_bytesio_falls_back_to_read(records):
     buf = io.BytesIO()
     save_records(buf, records)
     buf.seek(0)
-    reader = TraceFileReader(buf, use_mmap=True)
+    reader = TraceFileReader(buf)
     assert reader.read_path == "read"
     got = reader.read_all()
     _assert_same_records(got, records, "BytesIO fallback")
 
 
-def test_no_mmap_flag_respected(clean_path):
+def test_source_follows_the_input(clean_path):
+    with open_unmappable(clean_path) as fh:
+        assert TraceFileReader(fh).read_path == "read"
     with open(clean_path, "rb") as fh:
-        assert TraceFileReader(fh, use_mmap=False).read_path == "read"
-    with open(clean_path, "rb") as fh:
-        assert TraceFileReader(fh, use_mmap=True).read_path == "mmap"
+        assert TraceFileReader(fh).read_path == "mmap"
+
+
+def test_file_grown_past_mapping_reads_every_frame(records, tmp_path):
+    """Frames appended after the mapping was taken come from read()."""
+    path = str(tmp_path / "growing.k42")
+    half = len(records) // 2
+    save_records(path, records[:half])
+    with open(path, "rb") as fh:
+        reader = TraceFileReader(fh)
+        assert reader.read_path == "mmap"
+        with open(path, "ab") as out:
+            for rec in records[half:]:
+                out.write(frame_bytes(rec))
+        got = reader.read_all()
+        assert reader.issues == []
+        _assert_same_records(got, records, "grown file")
+        last = reader.read_frame(len(records) - 1)
+        assert np.array_equal(last.words, records[-1].words)
+
+
+def frame_bytes(rec):
+    """One frame as the writer lays it out (header + payload)."""
+    buf = io.BytesIO()
+    save_records(buf, [rec])
+    return buf.getvalue()[16:]   # drop the 16-byte file header
 
 
 @pytest.mark.skipif(sys.byteorder != "little",
                     reason="zero-copy provenance is little-endian only")
 def test_mmap_words_are_readonly_views(clean_path):
     """Zero-copy words must refuse in-place mutation (shared pages)."""
-    recs = load_records(clean_path, use_mmap=True)
+    recs = load_records(clean_path)
     assert any(r._file_ref is not None for r in recs)
     stamped = next(r for r in recs if r._file_ref is not None)
     assert not stamped.words.flags.writeable
@@ -130,11 +166,9 @@ def test_mmap_words_are_readonly_views(clean_path):
 
 def test_mmap_records_decode_parallel_identical(clean_path):
     """File-backed records ride the descriptor path through the pool
-    and still decode exactly like a sequential scalar walk."""
-    recs = load_records(clean_path, use_mmap=True)
-    seq = TraceReader().decode_records(load_records(clean_path,
-                                                    use_mmap=False))
-    par = decode_records_parallel(recs, workers=2)
-    assert as_comparable(par) == as_comparable(seq)
+    and still decode exactly like the oracle on read() records."""
+    recs = load_records(clean_path)
+    with open_unmappable(clean_path) as fh:
+        seq = OracleReader().decode_records(load_records(fh))
     col = decode_records_columnar_parallel(recs, workers=2)
     assert as_comparable(col) == as_comparable(seq)

@@ -1,13 +1,14 @@
-"""Parallel/batched decode equivalence: every path must be bit-identical.
+"""Decode equivalence: the production decoder against the oracle.
 
-The contract under test: ``TraceReader(batch=True)`` (vectorized scan),
-``decode_records_parallel`` (boundary-sharded worker pool), the
-columnar readers (``ColumnarTraceReader`` and
-``decode_records_columnar_parallel``), and the scalar reference reader
-produce event-for-event, anomaly-for-anomaly identical traces — on
-clean streams, on every garble class the format can exhibit, with and
-without fillers, and across shard cuts that separate a buffer from its
-timestamp anchor state.
+The contract under test: the one production decoder — sequential
+(``decode_records_columnar``), sharded over a worker pool
+(``decode_records_columnar_parallel``), and its object view
+(``TraceReader``) — produces event-for-event, anomaly-for-anomaly the
+same trace as the word-at-a-time reference decoder in
+:mod:`repro.check.oracle` — on clean streams, on every garble class the
+format can exhibit, strict and recovering, with and without fillers,
+and across shard cuts that separate a buffer from its timestamp anchor
+state.
 """
 
 import random
@@ -20,11 +21,10 @@ from repro.core.header import pack_header
 from repro.core.logger import TraceLogger
 from repro.core.majors import ControlMinor, Major
 from repro.core.mask import TraceMask
-from repro.core.columnar import ColumnarTraceReader
+from repro.check.oracle import OracleReader
+from repro.core.columnar import decode_records_columnar
 from repro.core.parallel import (
-    ParallelTraceReader,
     decode_records_columnar_parallel,
-    decode_records_parallel,
     shard_records,
 )
 from repro.core.registry import default_registry
@@ -64,25 +64,24 @@ def as_comparable(trace):
 
 def assert_all_paths_identical(records, include_fillers=False, workers=3,
                                strict=False):
+    """Production decode at 1 and ``workers`` workers, and its object
+    view, each equal to the oracle; returns the oracle's trace."""
     reg = default_registry()
-    scalar = TraceReader(registry=reg, include_fillers=include_fillers,
-                         batch=False, strict=strict).decode_records(records)
-    batched = TraceReader(registry=reg, include_fillers=include_fillers,
-                          batch=True, strict=strict).decode_records(records)
-    par = decode_records_parallel(records, registry=reg,
+    oracle = OracleReader(registry=reg, include_fillers=include_fillers,
+                          strict=strict).decode_records(records)
+    col = decode_records_columnar(records, registry=reg,
                                   include_fillers=include_fillers,
-                                  workers=workers, strict=strict)
-    col = ColumnarTraceReader(registry=reg, include_fillers=include_fillers,
-                              strict=strict).decode_records(records)
+                                  strict=strict)
     col_par = decode_records_columnar_parallel(
         records, registry=reg, include_fillers=include_fillers,
         workers=workers, strict=strict)
-    ref = as_comparable(scalar)
-    assert as_comparable(batched) == ref
-    assert as_comparable(par) == ref
+    objects = TraceReader(registry=reg, include_fillers=include_fillers,
+                          strict=strict).decode_records(records)
+    ref = as_comparable(oracle)
     assert as_comparable(col) == ref
     assert as_comparable(col_par) == ref
-    return scalar
+    assert as_comparable(objects) == ref
+    return oracle
 
 
 class TestCleanEquivalence:
@@ -108,20 +107,21 @@ class TestCleanEquivalence:
     def test_workers_one_is_sequential(self):
         records = build_records()
         reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        one = decode_records_parallel(records, registry=reg, workers=1)
+        seq = OracleReader(registry=reg).decode_records(records)
+        one = decode_records_columnar_parallel(records, registry=reg,
+                                               workers=1)
         assert as_comparable(one) == as_comparable(seq)
 
     def test_parallel_reader_decode_file(self, tmp_path):
-        from repro.core.writer import save_records
+        from repro.core.writer import load_records, save_records
 
         records = build_records()
         path = tmp_path / "t.k42"
         save_records(str(path), records)
         reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        par = ParallelTraceReader(registry=reg, workers=3).decode_file(
-            str(path))
+        seq = OracleReader(registry=reg).decode_records(records)
+        par = decode_records_columnar_parallel(load_records(str(path)),
+                                               registry=reg, workers=3)
         assert as_comparable(par) == as_comparable(seq)
 
 
@@ -270,9 +270,10 @@ class TestShardStitching:
         """Force one shard per buffer — the worst stitching case."""
         records = self._anchorless_chain()
         reg = default_registry()
-        seq = TraceReader(registry=reg).decode_records(records)
-        par = decode_records_parallel(records, registry=reg, workers=2,
-                                      shards_per_worker=len(records))
+        seq = OracleReader(registry=reg).decode_records(records)
+        par = decode_records_columnar_parallel(
+            records, registry=reg, workers=2,
+            shards_per_worker=len(records))
         assert as_comparable(par) == as_comparable(seq)
 
 
@@ -289,8 +290,9 @@ class TestStartMethods:
         try:
             records = build_records()
             reg = default_registry()
-            seq = TraceReader(registry=reg).decode_records(records)
-            par = decode_records_parallel(records, registry=reg, workers=2)
+            seq = OracleReader(registry=reg).decode_records(records)
+            par = decode_records_columnar_parallel(records, registry=reg,
+                                                   workers=2)
             assert pool.pool_kind() == "spawn"
             assert as_comparable(par) == as_comparable(seq)
         finally:
@@ -303,9 +305,9 @@ class TestStartMethods:
         pool.shutdown()
         records = build_records()
         reg = default_registry()
-        seq = TraceReader(registry=reg, strict=True).decode_records(records)
-        par = decode_records_parallel(records, registry=reg, workers=3,
-                                      strict=True)
+        seq = OracleReader(registry=reg, strict=True).decode_records(records)
+        par = decode_records_columnar_parallel(records, registry=reg,
+                                               workers=3, strict=True)
         assert pool.pool_kind() is None
         assert as_comparable(par) == as_comparable(seq)
 
@@ -315,10 +317,9 @@ class TestEmptyTrace:
     per-call executor raised ``ValueError: max_workers`` on 0 shards)."""
 
     def test_empty_records_parallel(self):
-        trace = decode_records_parallel([], workers=4)
-        assert trace.events_by_cpu == {}
         cols = decode_records_columnar_parallel([], workers=4)
         assert cols.cpus == []
+        assert cols.events_by_cpu == {}
 
     def test_run_tasks_empty_guard(self):
         from repro.core.parallel import _run_tasks

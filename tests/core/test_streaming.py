@@ -7,6 +7,7 @@ socket pair while logging continues, and the receiving side decodes the
 identical stream.
 """
 
+import io
 import socket
 import threading
 
@@ -33,15 +34,11 @@ def test_stream_trace_over_socket():
     received = {}
 
     def receiver():
+        # Take the stream off the wire as it arrives, then read the
+        # frames out of the received bytes.
         with right.makefile("rb") as fh:
-            reader = TraceFileReader(fh)
-            records = []
-            try:
-                while True:
-                    records.append(reader._read_one())
-            except (EOFError, ValueError):
-                pass
-            received["records"] = records
+            data = fh.read()
+        received["records"] = TraceFileReader(io.BytesIO(data)).read_all()
 
     rx = threading.Thread(target=receiver)
     rx.start()

@@ -31,7 +31,7 @@ from repro.fleet import (
     read_anchor_sidecar,
     write_anchor_sidecar,
 )
-from repro.fleet.launch import BACKENDS, NodeSpec, fleet_run
+from repro.fleet.launch import fleet_run
 from repro.store import Predicate, TraceStore
 from repro.store.query import select
 
@@ -90,18 +90,6 @@ class TestLauncher:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("slurm")
-
-    def test_declared_slots_raise(self, tmp_path):
-        spec = NodeSpec(node=0, seed=1, clock_offset=0, clock_rate=1.0,
-                        start_base=0)
-        for name in ("docker", "mpi"):
-            with pytest.raises(NotImplementedError, match="declared slot"):
-                get_backend(name).launch([spec], str(tmp_path))
-        assert sorted(BACKENDS) == ["docker", "local", "mpi"]
-
-    def test_fleet_run_rejects_unimplemented_backend(self, tmp_path):
-        with pytest.raises(NotImplementedError):
-            fleet_run(str(tmp_path / "d"), nodes=1, backend="docker")
 
 
 class TestMerge:

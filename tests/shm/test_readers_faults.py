@@ -1,12 +1,13 @@
-"""Every reader path, and the whole fault matrix, over *drained* traces.
+"""The production decoder against the oracle, and the whole fault
+matrix, over *drained* traces.
 
-The collector's output claims to be an ordinary trace: records that any
-of the readers — scalar, batched, parallel, columnar, columnar-parallel
-— decode bit-identically, and that survive the same damage matrix the
-in-process traces survive.  This file holds that claim to the same
+The collector's output claims to be an ordinary trace: records that the
+production decoder (1 and N workers, and its object view) decodes
+exactly like the reference oracle, and that survive the same damage
+matrix the in-process traces survive.  This file holds that claim to the same
 standard ``tests/core/test_faults.py`` applies to facility-produced
 records: injected corruption surfaces as typed anomalies or file
-issues, never as an exception, and never splits the reader paths.
+issues, never as an exception, and never splits decoder from oracle.
 """
 
 import io
@@ -94,6 +95,7 @@ class TestDrainedRecordFaults:
             f"{report.describe()}")
         assert_all_paths_identical(damaged)
         assert_all_paths_identical(damaged, strict=True)
+        assert_all_paths_identical(damaged, include_fillers=True)
 
 
 class TestDrainedFileFaults:

@@ -298,27 +298,88 @@ _COLUMNAR_COMMANDS = ("info", "list", "kmon", "locks", "profile",
 
 @pytest.mark.parametrize("command", _COLUMNAR_COMMANDS)
 def test_columnar_flag_in_help(command, capsys):
-    """Every ported subcommand advertises --columnar/--no-columnar."""
+    """The analysis subcommands have one decode path: no subcommand
+    offers a --columnar/--mmap switch, and the old spellings are
+    rejected rather than silently ignored."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--columnar" in out and "--no-columnar" in out
+    assert "--workers" in out and "--strict" in out and "--store" in out
+    for flag in ("--columnar", "--no-columnar", "--mmap", "--no-mmap"):
+        assert flag not in out
+        with pytest.raises(SystemExit) as exc:
+            main([command, "trace.k42", flag])
+        assert exc.value.code == 2
+
+
+def _scalar_report(command, trace_path, syms_path):
+    """What ``command`` prints, computed by the tool's scalar body over
+    the reference oracle's decode."""
+    from collections import Counter
+
+    from repro.check.oracle import OracleReader
+    from repro.core.registry import default_registry
+    from repro.core.writer import load_records
+    from repro.ksim.ipc import FS_FUNCTION_NAMES
+    from repro.ksim.kernel import SymbolTable
+    from repro.tools.breakdown import format_breakdown, process_breakdown
+    from repro.tools.kmon import Timeline
+    from repro.tools.listing import format_listing
+    from repro.tools.lockstats import format_lockstats, lock_statistics
+    from repro.tools.pcprofile import format_profile, pc_profile
+    from repro.tools.schedstats import format_sched_report, sched_statistics
+
+    records = load_records(trace_path)
+    trace = OracleReader(registry=default_registry()).decode_records(records)
+    sym = SymbolTable.load(syms_path) if command == "breakdown" \
+        else SymbolTable()
+    if command == "info":
+        events = trace.all_events()
+        times = [e.time for e in events if e.time is not None]
+        lines = [f"trace file: {trace_path}",
+                 f"frames: {len(records)}  buffer words: "
+                 f"{len(records[0].words)}",
+                 f"cpus: {sorted(trace.events_by_cpu)}",
+                 f"events: {len(events)}  anomalies: {len(trace.anomalies)}",
+                 f"time span: {(max(times) - min(times)) / 1e9:.6f} s "
+                 f"({min(times):,} .. {max(times):,} cycles)"]
+        for major, count in Counter(e.major for e in events).most_common():
+            lines.append(f"  major {major:>2}: {count:>8} events")
+        return "\n".join(lines) + "\n"
+    if command == "list":
+        text = format_listing(trace, columnar=False)
+    elif command == "kmon":
+        text = Timeline(trace, columnar=False).render(width=96)
+    elif command == "locks":
+        text = format_lockstats(
+            lock_statistics(trace, sort_by="time", columnar=False),
+            sym.lock_names, sym.chains, top=10, sort_label="time")
+    elif command == "profile":
+        text = format_profile(pc_profile(trace, sym.pc_names, columnar=False),
+                              pid=None, top=20)
+    elif command == "sched":
+        text = format_sched_report(sched_statistics(trace, columnar=False),
+                                   sym.process_names, top=10)
+    else:
+        bds = process_breakdown(trace, sym.syscall_names, sym.process_names,
+                                FS_FUNCTION_NAMES, columnar=False)
+        return "".join(format_breakdown(bds[pid]) + "\n\n"
+                       for pid in sorted(bds))
+    return text + "\n"
 
 
 @pytest.mark.parametrize("command", _COLUMNAR_COMMANDS)
 def test_columnar_output_identical(command, artifacts, capsys):
-    """--columnar (default) and --no-columnar print the same report."""
+    """The one (columnar) pipeline prints exactly what the tool's scalar
+    body prints over the reference oracle's decode."""
     argv = [command, artifacts["trace"]]
     if command == "breakdown":
         argv += ["--symbols", artifacts["syms"]]
-    assert main(argv + ["--columnar"]) == 0
-    columnar = capsys.readouterr().out
-    assert main(argv + ["--no-columnar"]) == 0
-    scalar = capsys.readouterr().out
-    assert main(argv) == 0                      # columnar is the default
-    default = capsys.readouterr().out
-    assert columnar == scalar == default
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == _scalar_report(command, artifacts["trace"],
+                                 artifacts["syms"])
 
 
 class TestFleetCli:
@@ -353,8 +414,3 @@ class TestFleetCli:
         assert "pruned by statistics" in cap.err
         assert "node 0: read 0/" in cap.err
         assert "node 1: read" in cap.err
-
-    def test_fleet_run_unimplemented_backend(self, tmp_path, capsys):
-        assert main(["fleet-run", "-o", str(tmp_path / "x"),
-                     "--backend", "docker"]) == 2
-        assert "declared slot" in capsys.readouterr().err

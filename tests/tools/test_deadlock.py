@@ -103,3 +103,45 @@ def test_blocked_but_not_deadlocked_is_not_reported():
     )
     report = find_deadlocks(trace)
     assert not report.deadlocked
+
+
+def _brute_force_cycles(waits_for):
+    """Every simple cycle by exhaustive enumeration of node orderings,
+    each rotated to start at its smallest node, sorted."""
+    from itertools import permutations
+
+    nodes = sorted(set(waits_for) | set(waits_for.values()))
+    found = set()
+    for k in range(1, len(nodes) + 1):
+        for seq in permutations(nodes, k):
+            if seq[0] != min(seq):
+                continue
+            if all(waits_for.get(a) == b
+                   for a, b in zip(seq, seq[1:] + seq[:1])):
+                found.add(seq)
+    return sorted(list(c) for c in found)
+
+
+def test_wait_for_cycles_match_brute_force_on_random_graphs():
+    """Pointer-following finds exactly the cycles exhaustive search does,
+    on random wait-for graphs where each thread waits for at most one
+    other (self-waits excluded, as find_deadlocks never builds them)."""
+    import random
+
+    from repro.tools.deadlock import wait_for_cycles
+
+    rng = random.Random(2003)
+    seen_cycles = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        threads = rng.sample(range(0x1000, 0x1100, 8), n)
+        waits_for = {}
+        for t in threads:
+            if rng.random() < 0.8:
+                owner = rng.choice(threads)
+                if owner != t:
+                    waits_for[t] = owner
+        got = wait_for_cycles(waits_for)
+        assert got == _brute_force_cycles(waits_for), waits_for
+        seen_cycles += len(got)
+    assert seen_cycles > 50   # the sample really exercises cycles
